@@ -283,6 +283,7 @@ func BenchmarkTSDBDownsample(b *testing.B) {
 			db.Append("execute-count", labels, t0.Add(time.Duration(m)*time.Minute), float64(m))
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Downsample("execute-count", tsdb.Labels{"component": "splitter"}, t0, t0.Add(24*time.Hour), time.Minute, tsdb.AggSum, tsdb.AggSum); err != nil {

@@ -235,8 +235,8 @@ func (s *SLO) Evaluate() []Alert {
 func (s *SLO) eval(r Rule, now time.Time) (float64, bool) {
 	start := now.Add(-r.Window)
 	if r.Ratio {
-		num, _ := increase(s.db, r.Metric, r.Selector, start, now)
-		den, ok := increase(s.db, r.Metric, r.DenomSelector, start, now)
+		num, _ := s.db.Increase(r.Metric, r.Selector, start, now)
+		den, ok := s.db.Increase(r.Metric, r.DenomSelector, start, now)
 		if !ok || den == 0 {
 			return 0, false
 		}
@@ -247,30 +247,6 @@ func (s *SLO) eval(r Rule, now time.Time) (float64, bool) {
 		return 0, false
 	}
 	return v, true
-}
-
-// increase sums per-series counter growth over the window. ok requires
-// at least one matching series with two points — a single sample cannot
-// measure growth.
-func increase(db *tsdb.DB, metric string, sel tsdb.Labels, start, end time.Time) (float64, bool) {
-	series, err := db.Query(metric, sel, start, end)
-	if err != nil {
-		return 0, false
-	}
-	var total float64
-	ok := false
-	for _, s := range series {
-		if len(s.Points) < 2 {
-			continue
-		}
-		ok = true
-		d := s.Points[len(s.Points)-1].V - s.Points[0].V
-		if d < 0 { // counter reset inside the window
-			d = s.Points[len(s.Points)-1].V
-		}
-		total += d
-	}
-	return total, ok
 }
 
 // DefaultSLORules are the rules cmd/caladrius evaluates out of the box:

@@ -74,7 +74,7 @@ func (db *DB) WriteSnapshot(w io.Writer) error {
 	for _, e := range entries {
 		s := snapshotSeries{Metric: e.metric, Labels: e.data.labels, Points: make([]snapshotPoint, len(e.data.points))}
 		for i, p := range e.data.points {
-			s.Points[i] = snapshotPoint{T: p.T.UnixNano(), V: p.V}
+			s.Points[i] = snapshotPoint{T: p.t, V: p.v}
 		}
 		if err := enc.Encode(s); err != nil {
 			return err
@@ -106,11 +106,14 @@ func ReadSnapshot(r io.Reader) (*DB, error) {
 		if s.Metric == "" {
 			return nil, fmt.Errorf("tsdb: snapshot series %d has empty metric", i+1)
 		}
-		pts := make([]Point, len(s.Points))
-		for j, p := range s.Points {
-			pts[j] = Point{T: time.Unix(0, p.T).UTC(), V: p.V}
+		if len(s.Points) == 0 {
+			continue // like Append, never create an empty series
 		}
-		db.AppendSeries(s.Metric, s.Labels, pts)
+		// db is not shared yet, so the locked helpers need no lock.
+		sd := db.seriesLocked(s.Metric, s.Labels.canonical(), s.Labels)
+		for _, p := range s.Points {
+			db.appendLocked(sd, p.T, p.V)
+		}
 	}
 	return db, nil
 }

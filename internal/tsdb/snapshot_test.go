@@ -153,3 +153,62 @@ func TestQuickSnapshotRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzReadSnapshot throws arbitrary bytes at the snapshot loader, which
+// reads -history-file and -metrics dumps from disk. It must return an
+// error rather than panic, and anything it accepts must be a sorted
+// store that survives its own round trip.
+func FuzzReadSnapshot(f *testing.F) {
+	const hdr = `{"format":"caladrius-tsdb","version":1,"retention_ns":0,"series":1}` + "\n"
+	var valid bytes.Buffer
+	db := New(time.Hour)
+	db.Append("m", Labels{"instance": "0"}, minuteAt(0), 1.5)
+	db.Append("m", Labels{"instance": "1"}, minuteAt(1), -2)
+	if err := db.WriteSnapshot(&valid); err != nil {
+		f.Fatal(err)
+	}
+	seeds := []string{
+		valid.String(),
+		valid.String()[:valid.Len()-7], // truncated mid-series
+		hdr + `{"metric":"m","labels":{"i":"0"},"points":[{"t":300,"v":3},{"t":100,"v":1},{"t":200,"v":2},{"t":100,"v":4}]}` + "\n",
+		`{"format":"caladrius-tsdb","version":1,"series":9223372036854775807}` + "\n" + `{"metric":"m","points":[{"t":1,"v":1}]}` + "\n",
+		`{"format":"caladrius-tsdb","version":1,"series":-3}` + "\n",
+		hdr + `{"metric":"m","points":[{"t":1,"v":NaN}]}` + "\n",
+		hdr + `{"metric":"m","points":[{"t":1,"v":1e999}]}` + "\n",
+		hdr + `{"metric":"m","points":[{"t":1,"v":"+Inf"}]}` + "\n",
+		`{"format":"caladrius-tsdb","version":1,"retention_ns":9223372036854775807,"series":1}` + "\n" +
+			`{"metric":"m","points":[{"t":-9223372036854775808,"v":1},{"t":9223372036854775807,"v":2}]}` + "\n",
+		hdr + `{"metric":"","points":[]}` + "\n",
+		hdr + `{"metric":"m","labels":null,"points":null}` + "\n",
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, bySeries := range db.metrics {
+			for _, sd := range bySeries {
+				for i := 1; i < len(sd.points); i++ {
+					if sd.points[i].t < sd.points[i-1].t {
+						t.Fatalf("series %v not sorted at %d", sd.labels, i)
+					}
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := db.WriteSnapshot(&buf); err != nil {
+			t.Fatalf("accepted snapshot does not re-serialise: %v", err)
+		}
+		back, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatalf("re-serialised snapshot rejected: %v", err)
+		}
+		if back.TotalPoints() != db.TotalPoints() || !reflect.DeepEqual(back.Metrics(), db.Metrics()) {
+			t.Fatalf("round trip changed the store: %d/%v points/metrics, want %d/%v",
+				back.TotalPoints(), back.Metrics(), db.TotalPoints(), db.Metrics())
+		}
+	})
+}

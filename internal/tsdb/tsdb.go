@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -99,9 +100,44 @@ type Series struct {
 	Points []Point
 }
 
+// sample is one stored observation: a Unix-nanosecond time and a
+// value. It holds no pointers (time.Time carries a *Location), so the
+// garbage collector never scans point storage and copies pay no write
+// barriers. Point is the public form; queries convert at the boundary.
+type sample struct {
+	t int64
+	v float64
+}
+
 type seriesData struct {
 	labels Labels
-	points []Point // sorted by T ascending
+	points []sample // sorted by t ascending
+}
+
+// Bounds of the representable sample times.
+var (
+	minTime = time.Unix(0, math.MinInt64)
+	maxTime = time.Unix(0, math.MaxInt64)
+)
+
+// unixNano converts t to stored form, clamping times outside the int64
+// nanosecond range (years 1678-2262) instead of overflowing.
+func unixNano(t time.Time) int64 {
+	switch {
+	case t.Before(minTime):
+		return math.MinInt64
+	case t.After(maxTime):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
+}
+
+// point converts a stored sample to its public form, in UTC.
+func (s sample) point() Point { return Point{T: time.Unix(0, s.t).UTC(), V: s.v} }
+
+// lowerBound returns the index of the first point at or after t.
+func lowerBound(pts []sample, t int64) int {
+	return sort.Search(len(pts), func(i int) bool { return pts[i].t >= t })
 }
 
 // DB is the in-memory time-series store.
@@ -138,7 +174,7 @@ func (db *DB) Append(metric string, labels Labels, t time.Time, v float64) {
 	key := labels.canonical()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.appendLocked(db.seriesLocked(metric, key, labels), t, v)
+	db.appendLocked(db.seriesLocked(metric, key, labels), unixNano(t), v)
 }
 
 // seriesLocked returns (creating if needed) the series of metric with
@@ -159,30 +195,27 @@ func (db *DB) seriesLocked(metric, key string, labels Labels) *seriesData {
 
 // appendLocked inserts one point into sd and applies retention. Caller
 // holds db.mu.
-func (db *DB) appendLocked(sd *seriesData, t time.Time, v float64) {
+func (db *DB) appendLocked(sd *seriesData, t int64, v float64) {
 	n := len(sd.points)
-	if n > 0 && t.Before(sd.points[n-1].T) {
-		// Out-of-order write: insert at the right place (rare path).
-		idx := sort.Search(n, func(i int) bool { return sd.points[i].T.After(t) })
-		sd.points = append(sd.points, Point{})
+	if n > 0 && t < sd.points[n-1].t {
+		// Out-of-order write: insert after any equal times (rare path).
+		idx := sort.Search(n, func(i int) bool { return sd.points[i].t > t })
+		sd.points = append(sd.points, sample{})
 		copy(sd.points[idx+1:], sd.points[idx:])
-		sd.points[idx] = Point{T: t, V: v}
+		sd.points[idx] = sample{t, v}
 	} else {
-		sd.points = append(sd.points, Point{T: t, V: v})
+		sd.points = append(sd.points, sample{t, v})
 	}
 	if db.retention > 0 {
-		cutoff := sd.points[len(sd.points)-1].T.Add(-db.retention)
-		firstKeep := sort.Search(len(sd.points), func(i int) bool { return !sd.points[i].T.Before(cutoff) })
-		if firstKeep > 0 {
-			sd.points = append(sd.points[:0], sd.points[firstKeep:]...)
+		last := sd.points[len(sd.points)-1].t
+		cutoff := last - int64(db.retention)
+		if cutoff > last { // wrapped below the earliest representable time
+			cutoff = math.MinInt64
 		}
-	}
-}
-
-// AppendSeries bulk-appends a slice of points to one series.
-func (db *DB) AppendSeries(metric string, labels Labels, pts []Point) {
-	for _, p := range pts {
-		db.Append(metric, labels, p.T, p.V)
+		// Reslice the expired prefix away rather than copying the live
+		// window down: append's next growth drops the dead prefix, so the
+		// backing array stays within about twice the live length.
+		sd.points = sd.points[lowerBound(sd.points, cutoff):]
 	}
 }
 
@@ -221,7 +254,7 @@ func (h *SeriesHandle) Append(t time.Time, v float64) {
 	if h.sd == nil {
 		h.sd = h.db.seriesLocked(h.metric, h.key, h.labels)
 	}
-	h.db.appendLocked(h.sd, t, v)
+	h.db.appendLocked(h.sd, unixNano(t), v)
 	h.db.mu.Unlock()
 }
 
@@ -255,7 +288,7 @@ func (db *DB) AppendBatch(samples []BatchSample) {
 		if h.sd == nil {
 			h.sd = db.seriesLocked(h.metric, h.key, h.labels)
 		}
-		db.appendLocked(h.sd, samples[i].T, samples[i].V)
+		db.appendLocked(h.sd, unixNano(samples[i].T), samples[i].V)
 	}
 }
 
@@ -278,41 +311,63 @@ func (db *DB) SeriesCount(metric string) int {
 	return len(db.metrics[metric])
 }
 
-// Query returns all series of the metric matching the selector,
-// restricted to points with start ≤ t < end. Series and their points
-// are copies; callers may mutate them freely. Series are returned in
-// deterministic (canonical label) order.
-func (db *DB) Query(metric string, sel Labels, start, end time.Time) ([]Series, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+// span is one matching series' in-range points, read in place from
+// storage under the read lock.
+type span struct {
+	key    string
+	labels Labels
+	pts    []sample
+}
+
+// rangeLocked returns, in canonical label order, the points in
+// [start, end) of every series of metric that matches sel and has any.
+// The point slices alias storage: they are valid only while the caller
+// holds db.mu, and must not be modified.
+func (db *DB) rangeLocked(metric string, sel Labels, start, end time.Time) ([]span, error) {
 	bySeries := db.metrics[metric]
 	if len(bySeries) == 0 {
 		return nil, fmt.Errorf("%w: metric %q", ErrNoData, metric)
 	}
-	keys := make([]string, 0, len(bySeries))
+	spans := make([]span, 0, len(bySeries))
 	for k, sd := range bySeries {
 		if sd.labels.Matches(sel) {
-			keys = append(keys, k)
+			spans = append(spans, span{key: k, labels: sd.labels, pts: sd.points})
 		}
 	}
-	sort.Strings(keys)
-	var out []Series
-	for _, k := range keys {
-		sd := bySeries[k]
-		lo := sort.Search(len(sd.points), func(i int) bool { return !sd.points[i].T.Before(start) })
-		hi := sort.Search(len(sd.points), func(i int) bool { return !sd.points[i].T.Before(end) })
-		if lo >= hi {
-			continue
+	slices.SortFunc(spans, func(a, b span) int { return strings.Compare(a.key, b.key) })
+	lo, hi := unixNano(start), unixNano(end)
+	kept := spans[:0]
+	for _, sp := range spans {
+		sp.pts = sp.pts[:lowerBound(sp.pts, hi)]
+		sp.pts = sp.pts[lowerBound(sp.pts, lo):]
+		if len(sp.pts) > 0 {
+			kept = append(kept, sp)
 		}
-		s := Series{
-			Metric: metric,
-			Labels: sd.labels.Clone(),
-			Points: append([]Point(nil), sd.points[lo:hi]...),
-		}
-		out = append(out, s)
 	}
-	if len(out) == 0 {
+	if len(kept) == 0 {
 		return nil, fmt.Errorf("%w: metric %q selector %v in [%s, %s)", ErrNoData, metric, sel, start, end)
+	}
+	return kept, nil
+}
+
+// Query returns all series of the metric matching the selector,
+// restricted to points with start ≤ t < end. Series and their points
+// are copies; callers may mutate them freely. Series are returned in
+// deterministic (canonical label) order, with point times in UTC.
+func (db *DB) Query(metric string, sel Labels, start, end time.Time) ([]Series, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	spans, err := db.rangeLocked(metric, sel, start, end)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Series, len(spans))
+	for i, sp := range spans {
+		pts := make([]Point, len(sp.pts))
+		for j, p := range sp.pts {
+			pts[j] = p.point()
+		}
+		out[i] = Series{Metric: metric, Labels: sp.labels.Clone(), Points: pts}
 	}
 	return out, nil
 }
@@ -331,6 +386,8 @@ const (
 	AggLast   Agg = "last"
 )
 
+// aggregate reduces vs with agg. It may reorder vs: the median sorts
+// it in place, so callers pass a slice they own.
 func aggregate(agg Agg, vs []float64) (float64, error) {
 	if len(vs) == 0 {
 		return 0, ErrNoData
@@ -367,13 +424,12 @@ func aggregate(agg Agg, vs []float64) (float64, error) {
 	case AggCount:
 		return float64(len(vs)), nil
 	case AggMedian:
-		cp := append([]float64(nil), vs...)
-		sort.Float64s(cp)
-		n := len(cp)
+		sort.Float64s(vs)
+		n := len(vs)
 		if n%2 == 1 {
-			return cp[n/2], nil
+			return vs[n/2], nil
 		}
-		return (cp[n/2-1] + cp[n/2]) / 2, nil
+		return (vs[n/2-1] + vs[n/2]) / 2, nil
 	case AggLast:
 		return vs[len(vs)-1], nil
 	default:
@@ -382,18 +438,55 @@ func aggregate(agg Agg, vs []float64) (float64, error) {
 }
 
 // Aggregate reduces every matching point in the range to one value.
+// Values are taken series by series in canonical label order, points
+// in time order within each series.
 func (db *DB) Aggregate(metric string, sel Labels, start, end time.Time, agg Agg) (float64, error) {
-	series, err := db.Query(metric, sel, start, end)
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	spans, err := db.rangeLocked(metric, sel, start, end)
 	if err != nil {
 		return 0, err
 	}
 	var vs []float64
-	for _, s := range series {
-		for _, p := range s.Points {
-			vs = append(vs, p.V)
+	for _, sp := range spans {
+		for _, p := range sp.pts {
+			vs = append(vs, p.v)
 		}
 	}
 	return aggregate(agg, vs)
+}
+
+// Increase sums per-series counter growth over [start, end): each
+// matching series contributes its last in-range value minus its first,
+// or its last value alone when the counter reset inside the window.
+// ok requires at least one matching series with two points — a single
+// sample cannot measure growth.
+func (db *DB) Increase(metric string, sel Labels, start, end time.Time) (total float64, ok bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	spans, err := db.rangeLocked(metric, sel, start, end)
+	if err != nil {
+		return 0, false
+	}
+	for _, sp := range spans {
+		if len(sp.pts) < 2 {
+			continue
+		}
+		ok = true
+		last := sp.pts[len(sp.pts)-1].v
+		d := last - sp.pts[0].v
+		if d < 0 {
+			d = last
+		}
+		total += d
+	}
+	return total, ok
+}
+
+// cell is one series' reduced value for one bucket.
+type cell struct {
+	b int64 // bucket index: unix ns / step, truncated toward zero
+	v float64
 }
 
 // Downsample buckets each matching series into fixed-width windows
@@ -401,68 +494,114 @@ func (db *DB) Aggregate(metric string, sel Labels, start, end time.Time, agg Agg
 // then merges series point-wise with mergeAgg (use AggSum to combine
 // instances into a component). Buckets with no points are omitted.
 // The returned series has one point per non-empty bucket, stamped at
-// the bucket start, in ascending time order.
+// the bucket start in UTC, in ascending time order.
+//
+// It runs in one pass under the read lock. Each series' points are
+// already time-sorted, so its buckets come out as one sorted run;
+// the runs share one buffer and are k-way merged in canonical label
+// order. Summation order is points in time order within a bucket,
+// then series in canonical label order, so results are bit-for-bit
+// what a copy-then-group implementation gives. Allocations are
+// O(series), not O(points).
 func (db *DB) Downsample(metric string, sel Labels, start, end time.Time, step time.Duration, bucketAgg, mergeAgg Agg) (Series, error) {
 	if step <= 0 {
 		return Series{}, fmt.Errorf("tsdb: non-positive step %s", step)
 	}
-	series, err := db.Query(metric, sel, start, end)
+	st := int64(step)
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	spans, err := db.rangeLocked(metric, sel, start, end)
 	if err != nil {
 		return Series{}, err
 	}
-	type bucketKey int64
-	perSeries := make([]map[bucketKey]float64, len(series))
-	for i, s := range series {
-		buckets := make(map[bucketKey][]float64)
-		for _, p := range s.Points {
-			b := bucketKey(p.T.UnixNano() / int64(step))
-			buckets[b] = append(buckets[b], p.V)
+	// Size the shared run buffer: a series spanning buckets b0..b1
+	// yields at most min(points, b1-b0+1) cells. A span that wrapped
+	// negative falls back to the point count.
+	size := 0
+	for _, sp := range spans {
+		n := len(sp.pts)
+		if nb := sp.pts[n-1].t/st - sp.pts[0].t/st; nb >= 0 && nb < int64(n) {
+			n = int(nb) + 1
 		}
-		reduced := make(map[bucketKey]float64, len(buckets))
-		for b, vs := range buckets {
-			v, err := aggregate(bucketAgg, vs)
+		size += n
+	}
+	cells := make([]cell, 0, size)
+	bounds := make([]int, 1, len(spans)+1) // run i is cells[bounds[i]:bounds[i+1]]
+	var scratch []float64
+	longest := 0
+	for _, sp := range spans {
+		pts := sp.pts
+		for len(pts) > 0 {
+			b := pts[0].t / st
+			scratch = scratch[:0]
+			j := 0
+			for ; j < len(pts) && pts[j].t/st == b; j++ {
+				scratch = append(scratch, pts[j].v)
+			}
+			v, err := aggregate(bucketAgg, scratch)
 			if err != nil {
 				return Series{}, err
 			}
-			reduced[b] = v
+			cells = append(cells, cell{b, v})
+			pts = pts[j:]
 		}
-		perSeries[i] = reduced
+		longest = max(longest, len(cells)-bounds[len(bounds)-1])
+		bounds = append(bounds, len(cells))
 	}
-	merged := make(map[bucketKey][]float64)
-	for _, m := range perSeries {
-		for b, v := range m {
-			merged[b] = append(merged[b], v)
+
+	// heads[i] is run i's next unmerged cell. Each round takes the
+	// smallest head bucket, gathers every run's value for it in run
+	// (canonical label) order, and finds the next smallest on the way.
+	heads, ends := slices.Clone(bounds[:len(spans)]), bounds[1:]
+	next, more := int64(0), false
+	for _, h := range heads {
+		if b := cells[h].b; !more || b < next {
+			next, more = b, true
 		}
 	}
-	keys := make([]bucketKey, 0, len(merged))
-	for b := range merged {
-		keys = append(keys, b)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := Series{Metric: metric, Labels: sel.Clone()}
-	for _, b := range keys {
-		v, err := aggregate(mergeAgg, merged[b])
+	out := Series{Metric: metric, Labels: sel.Clone(), Points: make([]Point, 0, longest)}
+	for more {
+		b := next
+		more = false
+		scratch = scratch[:0]
+		for i, h := range heads {
+			if h == ends[i] {
+				continue
+			}
+			if cells[h].b == b {
+				scratch = append(scratch, cells[h].v)
+				h++
+				heads[i] = h
+				if h == ends[i] {
+					continue
+				}
+			}
+			if nb := cells[h].b; !more || nb < next {
+				next, more = nb, true
+			}
+		}
+		v, err := aggregate(mergeAgg, scratch)
 		if err != nil {
 			return Series{}, err
 		}
-		out.Points = append(out.Points, Point{T: time.Unix(0, int64(b)*int64(step)).UTC(), V: v})
+		out.Points = append(out.Points, Point{T: time.Unix(0, b*st).UTC(), V: v})
 	}
 	return out, nil
 }
 
 // Latest returns the most recent point across all series matching the
-// selector.
+// selector, with its time in UTC.
 func (db *DB) Latest(metric string, sel Labels) (Point, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	best := Point{T: time.Time{}, V: math.NaN()}
+	var best sample
 	found := false
 	for _, sd := range db.metrics[metric] {
 		if !sd.labels.Matches(sel) || len(sd.points) == 0 {
 			continue
 		}
 		p := sd.points[len(sd.points)-1]
-		if !found || p.T.After(best.T) {
+		if !found || p.t > best.t {
 			best = p
 			found = true
 		}
@@ -470,7 +609,7 @@ func (db *DB) Latest(metric string, sel Labels) (Point, error) {
 	if !found {
 		return Point{}, fmt.Errorf("%w: metric %q selector %v", ErrNoData, metric, sel)
 	}
-	return best, nil
+	return best.point(), nil
 }
 
 // LabelValues returns the sorted distinct values of the given label key

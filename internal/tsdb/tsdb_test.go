@@ -2,7 +2,12 @@ package tsdb
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -484,4 +489,276 @@ func TestHandlePanicsOnEmptyMetric(t *testing.T) {
 		}
 	}()
 	New(0).Handle("", nil)
+}
+
+// referenceDownsample is the copy-then-group Downsample the single-pass
+// implementation replaced: Query, per-series bucket maps, a merged map
+// and a sort. It defines the results Downsample must reproduce bit for
+// bit.
+func referenceDownsample(db *DB, metric string, sel Labels, start, end time.Time, step time.Duration, bucketAgg, mergeAgg Agg) (Series, error) {
+	if step <= 0 {
+		return Series{}, fmt.Errorf("tsdb: non-positive step %s", step)
+	}
+	series, err := db.Query(metric, sel, start, end)
+	if err != nil {
+		return Series{}, err
+	}
+	type bucketKey int64
+	perSeries := make([]map[bucketKey]float64, len(series))
+	for i, s := range series {
+		buckets := make(map[bucketKey][]float64)
+		for _, p := range s.Points {
+			b := bucketKey(p.T.UnixNano() / int64(step))
+			buckets[b] = append(buckets[b], p.V)
+		}
+		reduced := make(map[bucketKey]float64, len(buckets))
+		for b, vs := range buckets {
+			v, err := aggregate(bucketAgg, vs)
+			if err != nil {
+				return Series{}, err
+			}
+			reduced[b] = v
+		}
+		perSeries[i] = reduced
+	}
+	merged := make(map[bucketKey][]float64)
+	for _, m := range perSeries {
+		for b, v := range m {
+			merged[b] = append(merged[b], v)
+		}
+	}
+	keys := make([]bucketKey, 0, len(merged))
+	for b := range merged {
+		keys = append(keys, b)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	out := Series{Metric: metric, Labels: sel.Clone()}
+	for _, b := range keys {
+		v, err := aggregate(mergeAgg, merged[b])
+		if err != nil {
+			return Series{}, err
+		}
+		out.Points = append(out.Points, Point{T: time.Unix(0, int64(b)*int64(step)).UTC(), V: v})
+	}
+	return out, nil
+}
+
+var allAggs = []Agg{AggSum, AggMean, AggMin, AggMax, AggCount, AggMedian, AggLast}
+
+// sameDownsample reports how got differs from want, comparing values
+// by bit pattern (so NaN payloads and signed zeros count) and times
+// with Equal.
+func sameDownsample(got, want Series, gotErr, wantErr error) string {
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		return fmt.Sprintf("error %v, want %v", gotErr, wantErr)
+	}
+	if got.Metric != want.Metric || !reflect.DeepEqual(got.Labels, want.Labels) {
+		return fmt.Sprintf("identity %s%v, want %s%v", got.Metric, got.Labels, want.Metric, want.Labels)
+	}
+	if len(got.Points) != len(want.Points) {
+		return fmt.Sprintf("%d points, want %d", len(got.Points), len(want.Points))
+	}
+	for i, p := range got.Points {
+		w := want.Points[i]
+		if !p.T.Equal(w.T) || p.T.Location() != time.UTC || math.Float64bits(p.V) != math.Float64bits(w.V) {
+			return fmt.Sprintf("point %d = %v %v, want %v %v", i, p.T, p.V, w.T, w.V)
+		}
+	}
+	return ""
+}
+
+// TestDownsampleMatchesReference is the equivalence property: over
+// random stores (1-20 series, out-of-order writes, NaN and ±Inf,
+// optional retention, times on both sides of the epoch) and every
+// bucket/merge aggregation pair, at steps below and above the point
+// spacing, Downsample returns exactly what the reference returns.
+func TestDownsampleMatchesReference(t *testing.T) {
+	const spacing = 10 * time.Second
+	steps := []time.Duration{time.Nanosecond, 3 * time.Second, spacing, 37 * time.Second, time.Minute, time.Hour}
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		base := t0
+		if seed%4 == 0 {
+			base = time.Unix(-300, 0).UTC() // buckets truncate toward zero around the epoch
+		}
+		var retention time.Duration
+		if seed%3 == 0 {
+			retention = time.Duration(5+r.Intn(60)) * spacing
+		}
+		db := New(retention)
+		nSeries := 1 + r.Intn(20)
+		for s := 0; s < nSeries; s++ {
+			labels := Labels{"instance": strconv.Itoa(s), "component": []string{"a", "b"}[s%2]}
+			for i := 0; i < 5+r.Intn(120); i++ {
+				ts := base.Add(time.Duration(r.Intn(200))*spacing + time.Duration(r.Int63n(int64(spacing))))
+				if r.Intn(4) > 0 { // mostly in order, the rest lands anywhere
+					ts = base.Add(time.Duration(i)*spacing + time.Duration(r.Int63n(int64(spacing))))
+				}
+				v := float64(r.Intn(2000)-1000) / 7
+				switch r.Intn(30) {
+				case 0:
+					v = math.NaN()
+				case 1:
+					v = math.Inf(1)
+				case 2:
+					v = math.Inf(-1)
+				case 3:
+					v = math.Copysign(0, -1)
+				}
+				db.Append("m", labels, ts, v)
+			}
+		}
+		start := base.Add(time.Duration(r.Intn(60)) * spacing)
+		end := start.Add(time.Duration(1+r.Intn(200)) * spacing)
+		sels := []Labels{nil, {"component": "a"}, {"instance": "0"}, {"instance": "none"}}
+		for _, step := range steps {
+			for _, sel := range sels {
+				for _, ba := range allAggs {
+					for _, ma := range allAggs {
+						got, gotErr := db.Downsample("m", sel, start, end, step, ba, ma)
+						want, wantErr := referenceDownsample(db, "m", sel, start, end, step, ba, ma)
+						if d := sameDownsample(got, want, gotErr, wantErr); d != "" {
+							t.Fatalf("seed %d step %s sel %v %s/%s: %s", seed, step, sel, ba, ma, d)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDownsampleUnboundedRange pins the zero-time and far-future bounds
+// callers use for "everything": they clamp into the stored range and
+// select every point, exactly as tight bounds around the data do.
+func TestDownsampleUnboundedRange(t *testing.T) {
+	db := New(0)
+	for i := 0; i < 50; i++ {
+		db.Append("m", Labels{"i": strconv.Itoa(i % 3)}, t0.Add(time.Duration(i)*7*time.Second), float64(i)/3)
+	}
+	far := time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC)
+	got, err := db.Downsample("m", nil, time.Time{}, far, time.Minute, AggMean, AggSum)
+	tight, tightErr := db.Downsample("m", nil, t0, t0.Add(time.Hour), time.Minute, AggMean, AggSum)
+	if d := sameDownsample(got, tight, err, tightErr); d != "" {
+		t.Fatalf("unbounded vs tight: %s", d)
+	}
+	want, wantErr := referenceDownsample(db, "m", nil, time.Time{}, far, time.Minute, AggMean, AggSum)
+	if d := sameDownsample(got, want, err, wantErr); d != "" {
+		t.Fatalf("unbounded vs reference: %s", d)
+	}
+	if n, err := db.Aggregate("m", nil, time.Time{}, far, AggCount); err != nil || n != 50 {
+		t.Errorf("unbounded count = %g, %v; want 50", n, err)
+	}
+	// Inverted and pre-epoch-only bounds select nothing.
+	if _, err := db.Downsample("m", nil, far, time.Time{}, time.Minute, AggSum, AggSum); !errors.Is(err, ErrNoData) {
+		t.Errorf("inverted bounds: %v", err)
+	}
+	if _, err := db.Query("m", nil, time.Time{}, time.Unix(0, 0)); !errors.Is(err, ErrNoData) {
+		t.Errorf("pre-epoch range: %v", err)
+	}
+}
+
+func TestQueryAndLatestReturnUTC(t *testing.T) {
+	db := New(0)
+	local := time.FixedZone("X", 3*3600)
+	db.Append("m", nil, t0.In(local), 1)
+	got, err := db.Query("m", nil, t0, t0.Add(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := got[0].Points[0]; p.T != t0 {
+		t.Errorf("query time = %#v, want %#v", p.T, t0)
+	}
+	if p, err := db.Latest("m", nil); err != nil || p.T != t0 {
+		t.Errorf("latest = %v, %v; want %v", p.T, err, t0)
+	}
+}
+
+func TestIncrease(t *testing.T) {
+	db := New(0)
+	for i, v := range []float64{10, 15, 30} {
+		db.Append("c", Labels{"i": "0"}, minuteAt(i), v)
+	}
+	for i, v := range []float64{50, 2, 7} { // reset after the first sample
+		db.Append("c", Labels{"i": "1"}, minuteAt(i), v)
+	}
+	db.Append("c", Labels{"i": "2"}, minuteAt(0), 99) // one sample: no growth
+	if got, ok := db.Increase("c", nil, minuteAt(0), minuteAt(3)); !ok || got != 20+7 {
+		t.Errorf("increase = %g, %v; want 27, true", got, ok)
+	}
+	if got, ok := db.Increase("c", Labels{"i": "0"}, minuteAt(1), minuteAt(3)); !ok || got != 15 {
+		t.Errorf("windowed increase = %g, %v; want 15, true", got, ok)
+	}
+	if _, ok := db.Increase("c", Labels{"i": "2"}, minuteAt(0), minuteAt(3)); ok {
+		t.Error("single sample measured growth")
+	}
+	if _, ok := db.Increase("missing", nil, minuteAt(0), minuteAt(3)); ok {
+		t.Error("missing metric measured growth")
+	}
+}
+
+// TestRetentionPruneBoundedCapacity: pruning reslices the expired
+// prefix away instead of copying the live window down, and append's
+// growth reclaims it, so capacity tracks the live length.
+func TestRetentionPruneBoundedCapacity(t *testing.T) {
+	db := New(100 * time.Minute)
+	h := db.Handle("m", nil)
+	for i := 0; i < 10_000; i++ {
+		h.Append(minuteAt(i), float64(i))
+		if n, c := len(h.sd.points), cap(h.sd.points); c > 2*n+64 {
+			t.Fatalf("append %d: cap %d for %d live points", i, c, n)
+		}
+	}
+	if n := len(h.sd.points); n != 101 {
+		t.Errorf("live points = %d, want 101", n)
+	}
+}
+
+// downsampleAllocs measures one Downsample over series series of n
+// points each, one per step.
+func downsampleAllocs(series, n int, bucketAgg Agg) float64 {
+	db := New(0)
+	for s := 0; s < series; s++ {
+		h := db.Handle("m", Labels{"instance": strconv.Itoa(s)})
+		for i := 0; i < n; i++ {
+			h.Append(t0.Add(time.Duration(i)*10*time.Second), float64(i))
+		}
+	}
+	end := t0.Add(time.Duration(n) * 10 * time.Second)
+	return testing.AllocsPerRun(20, func() {
+		if _, err := db.Downsample("m", nil, t0, end, time.Minute, bucketAgg, AggSum); err != nil {
+			panic(err)
+		}
+	})
+}
+
+// TestDownsampleAllocsIndependentOfPoints is the allocation budget:
+// Downsample allocates per series, never per point or per bucket.
+func TestDownsampleAllocsIndependentOfPoints(t *testing.T) {
+	for _, agg := range []Agg{AggSum, AggMedian} {
+		small, large := downsampleAllocs(4, 100, agg), downsampleAllocs(4, 10_000, agg)
+		if small != large {
+			t.Errorf("%s: %v allocs at 100 points/series, %v at 10000", agg, small, large)
+		}
+	}
+}
+
+// TestAppendAllocs pins the write paths at 0 allocs/op in steady state,
+// with and without retention pruning.
+func TestAppendAllocs(t *testing.T) {
+	for _, retention := range []time.Duration{0, time.Hour} {
+		db := New(retention)
+		h := db.Handle("m", Labels{"instance": "0"})
+		i := 0
+		if a := testing.AllocsPerRun(1000, func() { i++; h.Append(minuteAt(i), 1) }); a != 0 {
+			t.Errorf("retention %s: SeriesHandle.Append %v allocs/op, want 0", retention, a)
+		}
+		batch := []BatchSample{{H: h}, {H: db.Handle("m", Labels{"instance": "1"})}}
+		if a := testing.AllocsPerRun(1000, func() {
+			i++
+			batch[0].T, batch[1].T = minuteAt(i), minuteAt(i)
+			db.AppendBatch(batch)
+		}); a != 0 {
+			t.Errorf("retention %s: AppendBatch %v allocs/op, want 0", retention, a)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Benchmark recipe: runs the hot-path micro-benchmarks and the
-# multi-rate sweep benchmarks, writes BENCH_core.json with the
+# Benchmark recipe: runs the hot-path micro-benchmarks (the TSDB read
+# path included) and the multi-rate sweep benchmarks, writes
+# BENCH_core.json with the
 # measured numbers next to the recorded pre-optimization (seed)
 # baseline, then drives the serving tier with caladriusbench's
 # standard mix and writes BENCH_api.json — including the scrape-path
@@ -33,9 +34,15 @@ SEED_SWEEP_NS=247852953
 SEED_SCRAPE_NS=858601   SEED_SCRAPE_ALLOCS=1644
 SEED_SCRAPE_CONC_NS=16781639
 
+# TSDB read-path baseline, measured on the commit before Downsample
+# became a single in-place pass over int64-stamped samples (copy via
+# Query, per-series bucket maps, merged map, sort). Same harness,
+# benchtime 1s, median of 3, GOMAXPROCS=2, nproc=2, go1.24.0.
+BEFORE_DOWNSAMPLE_NS=2312231   BEFORE_DOWNSAMPLE_B=1405467   BEFORE_DOWNSAMPLE_ALLOCS=10241
+
 echo "== micro benchmarks (${MICRO_TIME}) =="
 MICRO=$(go test -run '^$' \
-    -bench 'BenchmarkSimulatorMinute$|BenchmarkSimulatorMinuteWithInjector$|BenchmarkTSDBAppend$|BenchmarkTSDBAppendHandle$|BenchmarkLogRingAppend$|BenchmarkSLOEvaluateArmed$|BenchmarkUsageRecord$|BenchmarkMiddlewareRequest$|BenchmarkMiddlewareRequestAttributed$|BenchmarkPredictColdCache$|BenchmarkPredictWarmCache$|BenchmarkCoalescedPredict$' \
+    -bench 'BenchmarkSimulatorMinute$|BenchmarkSimulatorMinuteWithInjector$|BenchmarkTSDBAppend$|BenchmarkTSDBAppendHandle$|BenchmarkTSDBDownsample$|BenchmarkLogRingAppend$|BenchmarkSLOEvaluateArmed$|BenchmarkUsageRecord$|BenchmarkMiddlewareRequest$|BenchmarkMiddlewareRequestAttributed$|BenchmarkPredictColdCache$|BenchmarkPredictWarmCache$|BenchmarkCoalescedPredict$' \
     -benchmem -benchtime "$MICRO_TIME" .)
 echo "$MICRO"
 
@@ -89,6 +96,9 @@ APPEND_ALLOCS=$(pick "$MICRO" BenchmarkTSDBAppend 7)
 HANDLE_NS=$(pick "$MICRO" BenchmarkTSDBAppendHandle 3)
 HANDLE_B=$(pick "$MICRO" BenchmarkTSDBAppendHandle 5)
 HANDLE_ALLOCS=$(pick "$MICRO" BenchmarkTSDBAppendHandle 7)
+DOWNSAMPLE_NS=$(pick "$MICRO" BenchmarkTSDBDownsample 3)
+DOWNSAMPLE_B=$(pick "$MICRO" BenchmarkTSDBDownsample 5)
+DOWNSAMPLE_ALLOCS=$(pick "$MICRO" BenchmarkTSDBDownsample 7)
 LOGRING_NS=$(pick "$MICRO" BenchmarkLogRingAppend 3)
 LOGRING_B=$(pick "$MICRO" BenchmarkLogRingAppend 5)
 LOGRING_ALLOCS=$(pick "$MICRO" BenchmarkLogRingAppend 7)
@@ -121,7 +131,8 @@ SCRAPE_NS=$(pick "$SCRAPE" BenchmarkScraperScrapeOnce 3)
 SCRAPE_ALLOCS=$(pick "$SCRAPE" BenchmarkScraperScrapeOnce 7)
 SCRAPE_CONC_NS=$(pick "$SCRAPE" BenchmarkScrapeWithConcurrentReads 3)
 
-GOMAXPROCS="${GOMAXPROCS:-$(getconf _NPROCESSORS_ONLN)}"
+NPROC=$(getconf _NPROCESSORS_ONLN)
+GOMAXPROCS="${GOMAXPROCS:-$NPROC}"
 ratio() { awk -v a="$1" -v b="$2" 'BEGIN { printf "%.2f", a / b }'; }
 
 cat > "$OUT" <<EOF
@@ -129,6 +140,7 @@ cat > "$OUT" <<EOF
   "date": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
   "go": "$(go env GOVERSION)",
   "gomaxprocs": ${GOMAXPROCS},
+  "nproc": ${NPROC},
   "note": "sweep outputs are byte-identical at every parallelism; sweep_parallel8 only beats sweep_parallel1 when GOMAXPROCS > 1",
   "simulator_minute": {
     "seed": {"ns_op": ${SEED_SIM_NS}, "b_op": ${SEED_SIM_B}, "allocs_op": ${SEED_SIM_ALLOCS}},
@@ -170,6 +182,13 @@ cat > "$OUT" <<EOF
   "tsdb_append_handle": {
     "now": {"ns_op": ${HANDLE_NS}, "b_op": ${HANDLE_B}, "allocs_op": ${HANDLE_ALLOCS}},
     "speedup_vs_append": $(ratio "$APPEND_NS" "$HANDLE_NS")
+  },
+  "tsdb_downsample": {
+    "before": {"ns_op": ${BEFORE_DOWNSAMPLE_NS}, "b_op": ${BEFORE_DOWNSAMPLE_B}, "allocs_op": ${BEFORE_DOWNSAMPLE_ALLOCS}, "gomaxprocs": 2, "nproc": 2, "go": "go1.24.0"},
+    "after":  {"ns_op": ${DOWNSAMPLE_NS}, "b_op": ${DOWNSAMPLE_B}, "allocs_op": ${DOWNSAMPLE_ALLOCS}, "gomaxprocs": ${GOMAXPROCS}, "nproc": ${NPROC}, "go": "$(go env GOVERSION)"},
+    "speedup": $(ratio "$BEFORE_DOWNSAMPLE_NS" "$DOWNSAMPLE_NS"),
+    "budget": "allocs/op depend on the number of matching series, not points (TestDownsampleAllocsIndependentOfPoints)",
+    "note": "4 series x 1440 one-minute points rolled up at 1m; samples are stored as pointer-free int64-ns/float64 pairs and Downsample reduces each series' sorted points into one shared run buffer, then k-way merges the runs in canonical label order under the read lock"
   },
   "logring_append": {
     "now": {"ns_op": ${LOGRING_NS}, "b_op": ${LOGRING_B}, "allocs_op": ${LOGRING_ALLOCS}},

@@ -10,8 +10,9 @@
 # concurrent capture/query/baseline-swap suite, and the chaos layer —
 # whose invariant suite runs its fixed 3-seed × every-fault-kind
 # matrix under -race here, and the load/soak harness), then a
-# short fuzz smoke over the three parsers that face untrusted input
-# (config YAML, API range queries, pprof protobuf profiles), and
+# short fuzz smoke over the four parsers that face untrusted input
+# (config YAML, API range queries, pprof protobuf profiles, TSDB
+# snapshots), and
 # finally a ~10s smoke soak: caladriusbench drives an in-process
 # daemon through a chaos metrics outage and exits non-zero unless the
 # SLOs resolve and the process returns to its goroutine baseline.
@@ -40,6 +41,7 @@ FUZZTIME="${VERIFY_FUZZTIME:-10s}"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$FUZZTIME" ./internal/yamlite
 go test -run '^$' -fuzz '^FuzzParseQueryRange$' -fuzztime "$FUZZTIME" ./internal/api
 go test -run '^$' -fuzz '^FuzzPprofParse$' -fuzztime "$FUZZTIME" ./internal/profiler
+go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime "$FUZZTIME" ./internal/tsdb
 SOAK_OUT=$(mktemp)
 go run ./cmd/caladriusbench -soak -duration 6s -slo-window 4s -settle 12s -o "$SOAK_OUT"
 rm -f "$SOAK_OUT"

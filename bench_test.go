@@ -292,6 +292,34 @@ func BenchmarkTSDBDownsample(b *testing.B) {
 	}
 }
 
+// BenchmarkTSDBSelect measures a Downsample whose selector matches one
+// of N series of a metric: the shape of a calibration fetch, which
+// reads one instance of one component among every instance the metric
+// holds. Every series is checked against the selector, so the time
+// grows with N; the allocations follow the matched series only.
+func BenchmarkTSDBSelect(b *testing.B) {
+	for _, n := range []int{10, 1000} {
+		b.Run(fmt.Sprintf("series=%d", n), func(b *testing.B) {
+			db := tsdb.New(0)
+			t0 := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
+			for s := 0; s < n; s++ {
+				h := db.Handle("execute-count", tsdb.Labels{"topology": "wc", "component": fmt.Sprintf("c%d", s%10), "instance": fmt.Sprintf("%d", s)})
+				for m := 0; m < 60; m++ {
+					h.Append(t0.Add(time.Duration(m)*time.Minute), float64(m))
+				}
+			}
+			sel := tsdb.Labels{"topology": "wc", "component": "c3", "instance": "3"}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Downsample("execute-count", sel, t0, t0.Add(time.Hour), time.Minute, tsdb.AggSum, tsdb.AggSum); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAuditRecord measures the audit ledger's record hot path —
 // every prediction request pays it synchronously. After the first
 // record interns the per-(topology, model) counters, Record must not

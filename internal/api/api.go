@@ -466,7 +466,10 @@ func (s *Service) handleTopology(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		s.invalidateModel(topoName)
+		// A forced recalibration changes neither the topology nor its
+		// packing plan, so the graph cache (keyed on the plan version)
+		// stays.
+		s.calcache.Invalidate(topoName)
 		s.dispatch(w, r, "calibrate", topoName, req, func(ctx context.Context) (any, error) {
 			_, _, err := s.topologyModel(ctx, topoName, req.AsOf)
 			if err != nil {
@@ -861,8 +864,8 @@ func (s *Service) topologyModel(ctx context.Context, topoName string, asOf time.
 	}()
 	// Double-check after winning the flight: a calibration that
 	// completed between the lookup and the flight may have filled the
-	// cache already.
-	if m, ok := s.calcache.Lookup(topoName, info.Plan.Version, window); ok {
+	// cache already. The lookup above counted this request's miss.
+	if m, ok := s.calcache.Peek(topoName, info.Plan.Version, window); ok {
 		sp.SetAttr("cache", "hit")
 		return m, true, nil
 	}
@@ -914,8 +917,7 @@ func (s *Service) topologyModel(ctx context.Context, topoName string, asOf time.
 }
 
 // invalidateModel evicts one topology's calibrated model and graph
-// analyses — the tracker change hook, also run before a forced
-// recalibration.
+// analyses — the tracker change hook.
 func (s *Service) invalidateModel(topoName string) {
 	s.calcache.Invalidate(topoName)
 	s.graphs.Invalidate(topoName)

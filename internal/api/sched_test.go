@@ -372,6 +372,60 @@ func TestTrackerRemoveEvictsEntry(t *testing.T) {
 	}
 }
 
+// TestColdPredictCountsOneMiss: a cold predict looks the calibration
+// cache up twice (before and after winning the calibration flight) but
+// counts one miss.
+func TestColdPredictCountsOneMiss(t *testing.T) {
+	svc, srv, _ := testEnv(t)
+	resp := postJSON(t, srv.URL+"/api/v1/model/topology/word-count/performance?sync=true", PerformanceRequest{SourceRateTPM: 30e6})
+	decode[PerformanceResponse](t, resp, http.StatusOK)
+	if st := svc.calcache.Stats(); st.Misses != 1 || st.Hits != 0 || st.Stale != 0 {
+		t.Fatalf("after one cold predict: %+v; want exactly 1 miss", st)
+	}
+}
+
+// TestForcedCalibrateKeepsGraphCache: a forced recalibration changes
+// neither the topology nor its plan, so it evicts the calibration cache
+// only and reuses the graphs; a tracker update still evicts both.
+func TestForcedCalibrateKeepsGraphCache(t *testing.T) {
+	svc, srv, asOf := testEnv(t)
+	resp := postJSON(t, srv.URL+"/api/v1/model/topology/word-count/performance?sync=true", PerformanceRequest{SourceRateTPM: 30e6})
+	decode[PerformanceResponse](t, resp, http.StatusOK)
+	_, graphMisses := svc.graphs.Stats()
+	if graphMisses != 1 {
+		t.Fatalf("graph cache misses after cold predict = %d; want 1", graphMisses)
+	}
+
+	resp = postJSON(t, srv.URL+"/api/v1/model/topology/word-count/calibrate?sync=true", PerformanceRequest{AsOf: asOf})
+	decode[map[string]any](t, resp, http.StatusOK)
+	if st := svc.calcache.Stats(); st.Invalidations != 1 || st.Misses != 2 {
+		t.Fatalf("after forced calibrate: %+v; want 1 invalidation and a fresh calibration", st)
+	}
+	if _, m := svc.graphs.Stats(); m != graphMisses {
+		t.Fatalf("forced calibrate rebuilt the graphs: misses %d -> %d", graphMisses, m)
+	}
+
+	top, err := heron.WordCountTopology(8, 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := topology.RoundRobinPack(top, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.tracker.Update(top, plan); err != nil {
+		t.Fatal(err)
+	}
+	if svc.calcache.Len() != 0 {
+		t.Fatal("tracker update left the calibration cache entry")
+	}
+	resp = postJSON(t, srv.URL+"/api/v1/model/topology/word-count/performance?sync=true", PerformanceRequest{SourceRateTPM: 30e6})
+	decode[PerformanceResponse](t, resp, http.StatusOK)
+	if _, m := svc.graphs.Stats(); m != graphMisses+1 {
+		t.Fatalf("graph cache misses after tracker update = %d; want %d (graphs evicted)", m, graphMisses+1)
+	}
+}
+
 // TestAsyncJobThroughScheduler: async jobs complete through the
 // scheduler's completion callback, not a dedicated goroutine.
 func TestAsyncJobThroughScheduler(t *testing.T) {

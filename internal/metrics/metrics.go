@@ -10,7 +10,7 @@ package metrics
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"strconv"
 	"time"
 
 	"caladrius/internal/heron"
@@ -94,65 +94,69 @@ func NewTSDBProvider(db *tsdb.DB, window time.Duration) (*TSDBProvider, error) {
 // Window returns the provider's rollup interval.
 func (p *TSDBProvider) Window() time.Duration { return p.window }
 
-// seriesByTime fetches one metric for a selector and indexes it by
-// bucket time.
-func (p *TSDBProvider) seriesByTime(metric string, sel tsdb.Labels, start, end time.Time, agg tsdb.Agg) (map[time.Time]float64, error) {
+// points fetches one metric for a selector as window points in
+// ascending time order; a selection with no data yields none.
+func (p *TSDBProvider) points(metric string, sel tsdb.Labels, start, end time.Time, agg tsdb.Agg) ([]tsdb.Point, error) {
 	s, err := p.db.Downsample(metric, sel, start, end, p.window, tsdb.AggSum, agg)
-	if err != nil {
-		if errors.Is(err, tsdb.ErrNoData) {
-			return map[time.Time]float64{}, nil
-		}
-		return nil, err
+	if errors.Is(err, tsdb.ErrNoData) {
+		return nil, nil
 	}
-	out := make(map[time.Time]float64, len(s.Points))
-	for _, pt := range s.Points {
-		out[pt.T] = pt.V
-	}
-	return out, nil
+	return s.Points, err
 }
 
+// windowMetrics are the metrics a Window carries, with their
+// cross-instance merge: counts sum, latencies average.
+var windowMetrics = [...]struct {
+	name  string
+	merge tsdb.Agg
+	store func(*Window, float64)
+}{
+	{heron.MetricSourceCount, tsdb.AggSum, func(w *Window, v float64) { w.Source = v }},
+	{heron.MetricArrivalCount, tsdb.AggSum, func(w *Window, v float64) { w.Arrival = v }},
+	{heron.MetricExecuteCount, tsdb.AggSum, func(w *Window, v float64) { w.Execute = v }},
+	{heron.MetricEmitCount, tsdb.AggSum, func(w *Window, v float64) { w.Emit = v }},
+	{heron.MetricFailCount, tsdb.AggSum, func(w *Window, v float64) { w.FailedTuples = v }},
+	{heron.MetricBackpressureMs, tsdb.AggSum, func(w *Window, v float64) { w.BackpressureMs = v }},
+	{heron.MetricCPULoad, tsdb.AggSum, func(w *Window, v float64) { w.CPULoad = v }},
+	{heron.MetricLatencyMs, tsdb.AggMean, func(w *Window, v float64) { w.LatencyMs = v }},
+}
+
+// windows merges the entity's per-metric series, each sorted on the
+// same window grid, into one Window per time any metric has a point.
 func (p *TSDBProvider) windows(sel tsdb.Labels, start, end time.Time) ([]Window, error) {
-	type metricSpec struct {
-		name  string
-		merge tsdb.Agg // cross-instance merge: counts sum, latencies average
-		store func(*Window, float64)
-	}
-	specs := []metricSpec{
-		{heron.MetricSourceCount, tsdb.AggSum, func(w *Window, v float64) { w.Source = v }},
-		{heron.MetricArrivalCount, tsdb.AggSum, func(w *Window, v float64) { w.Arrival = v }},
-		{heron.MetricExecuteCount, tsdb.AggSum, func(w *Window, v float64) { w.Execute = v }},
-		{heron.MetricEmitCount, tsdb.AggSum, func(w *Window, v float64) { w.Emit = v }},
-		{heron.MetricFailCount, tsdb.AggSum, func(w *Window, v float64) { w.FailedTuples = v }},
-		{heron.MetricBackpressureMs, tsdb.AggSum, func(w *Window, v float64) { w.BackpressureMs = v }},
-		{heron.MetricCPULoad, tsdb.AggSum, func(w *Window, v float64) { w.CPULoad = v }},
-		{heron.MetricLatencyMs, tsdb.AggMean, func(w *Window, v float64) { w.LatencyMs = v }},
-	}
-	byTime := map[time.Time]*Window{}
-	found := false
-	for _, spec := range specs {
-		vals, err := p.seriesByTime(spec.name, sel, start, end, spec.merge)
+	var series [len(windowMetrics)][]tsdb.Point
+	longest := 0
+	for i, m := range windowMetrics {
+		pts, err := p.points(m.name, sel, start, end, m.merge)
 		if err != nil {
 			return nil, err
 		}
-		for t, v := range vals {
-			found = true
-			w, ok := byTime[t]
-			if !ok {
-				w = &Window{T: t}
-				byTime[t] = w
-			}
-			spec.store(w, v)
-		}
+		series[i] = pts
+		longest = max(longest, len(pts))
 	}
-	if !found {
+	if longest == 0 {
 		return nil, fmt.Errorf("%w: selector %v in [%s, %s)", ErrNoData, sel, start, end)
 	}
-	out := make([]Window, 0, len(byTime))
-	for _, w := range byTime {
-		out = append(out, *w)
+	out := make([]Window, 0, longest)
+	for {
+		var w Window
+		found := false
+		for _, pts := range series {
+			if len(pts) > 0 && (!found || pts[0].T.Before(w.T)) {
+				w.T, found = pts[0].T, true
+			}
+		}
+		if !found {
+			return out, nil
+		}
+		for i, pts := range series {
+			if len(pts) > 0 && pts[0].T.Equal(w.T) {
+				windowMetrics[i].store(&w, pts[0].V)
+				series[i] = pts[1:]
+			}
+		}
+		out = append(out, w)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].T.Before(out[j].T) })
-	return out, nil
 }
 
 // ComponentWindows implements Provider.
@@ -165,34 +169,52 @@ func (p *TSDBProvider) InstanceWindows(topology, component string, index int, st
 	return p.windows(tsdb.Labels{
 		"topology":  topology,
 		"component": component,
-		"instance":  fmt.Sprintf("%d", index),
+		"instance":  strconv.Itoa(index),
 	}, start, end)
 }
 
-// SourceRate implements Provider.
+// SourceRate implements Provider. Spouts are added in the given order,
+// each window's total starting from 0 (so a lone −0 reads +0).
 func (p *TSDBProvider) SourceRate(topology string, spouts []string, start, end time.Time) ([]tsdb.Point, error) {
 	if len(spouts) == 0 {
 		return nil, errors.New("metrics: no spout components given")
 	}
-	totals := map[time.Time]float64{}
+	var totals []tsdb.Point
 	for _, spout := range spouts {
-		vals, err := p.seriesByTime(heron.MetricSourceCount, tsdb.Labels{"topology": topology, "component": spout}, start, end, tsdb.AggSum)
+		pts, err := p.points(heron.MetricSourceCount, tsdb.Labels{"topology": topology, "component": spout}, start, end, tsdb.AggSum)
 		if err != nil {
 			return nil, err
 		}
-		for t, v := range vals {
-			totals[t] += v
-		}
+		totals = addPoints(totals, pts)
 	}
 	if len(totals) == 0 {
 		return nil, fmt.Errorf("%w: source rate of %q spouts %v", ErrNoData, topology, spouts)
 	}
-	out := make([]tsdb.Point, 0, len(totals))
-	for t, v := range totals {
-		out = append(out, tsdb.Point{T: t, V: v})
+	return totals, nil
+}
+
+// addPoints merges the time-sorted pts into the time-sorted running
+// totals: a time in both adds pts' value to the total, a time only in
+// pts starts a total at 0.
+func addPoints(totals, pts []tsdb.Point) []tsdb.Point {
+	if len(pts) == 0 {
+		return totals
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].T.Before(out[j].T) })
-	return out, nil
+	out := make([]tsdb.Point, 0, len(totals)+len(pts))
+	for len(totals) > 0 || len(pts) > 0 {
+		switch {
+		case len(pts) == 0 || len(totals) > 0 && totals[0].T.Before(pts[0].T):
+			out = append(out, totals[0])
+			totals = totals[1:]
+		case len(totals) == 0 || pts[0].T.Before(totals[0].T):
+			out = append(out, tsdb.Point{T: pts[0].T, V: 0 + pts[0].V})
+			pts = pts[1:]
+		default:
+			out = append(out, tsdb.Point{T: totals[0].T, V: totals[0].V + pts[0].V})
+			totals, pts = totals[1:], pts[1:]
+		}
+	}
+	return out
 }
 
 // TopologyBackpressureMs implements Provider.

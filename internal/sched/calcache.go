@@ -97,31 +97,49 @@ func NewCalCache(opts CalCacheOptions) *CalCache {
 
 // Lookup returns the cached model for topology iff it was calibrated
 // against exactly planVersion and window and (with a TTL configured)
-// has not expired. The hit path is 0 allocs/op.
+// has not expired, counting the outcome as a hit, miss or stale
+// lookup. The hit path is 0 allocs/op.
 func (c *CalCache) Lookup(topology string, planVersion int, window time.Duration) (*core.TopologyModel, bool) {
-	c.mu.RLock()
-	e, ok := c.entries[topology]
-	c.mu.RUnlock()
-	if !ok {
-		c.misses.Add(1)
-		if c.missesC != nil {
-			c.missesC.Inc()
+	m, ok, found := c.peek(topology, planVersion, window)
+	switch {
+	case ok:
+		c.hits.Add(1)
+		if c.hitsC != nil {
+			c.hitsC.Inc()
 		}
-		return nil, false
-	}
-	if e.planVersion != planVersion || e.window != window ||
-		(c.ttl > 0 && c.now().Sub(e.storedAt) >= c.ttl) {
+	case found:
 		c.stale.Add(1)
 		if c.staleC != nil {
 			c.staleC.Inc()
 		}
-		return nil, false
+	default:
+		c.misses.Add(1)
+		if c.missesC != nil {
+			c.missesC.Inc()
+		}
 	}
-	c.hits.Add(1)
-	if c.hitsC != nil {
-		c.hitsC.Inc()
+	return m, ok
+}
+
+// Peek is Lookup without counting: the re-check a caller makes after
+// winning a calibration flight, for a request whose Lookup already
+// counted its miss.
+func (c *CalCache) Peek(topology string, planVersion int, window time.Duration) (*core.TopologyModel, bool) {
+	m, ok, _ := c.peek(topology, planVersion, window)
+	return m, ok
+}
+
+// peek returns the usable entry's model; found reports whether any
+// entry, usable or not, was present.
+func (c *CalCache) peek(topology string, planVersion int, window time.Duration) (m *core.TopologyModel, ok, found bool) {
+	c.mu.RLock()
+	e, found := c.entries[topology]
+	c.mu.RUnlock()
+	if !found || e.planVersion != planVersion || e.window != window ||
+		(c.ttl > 0 && c.now().Sub(e.storedAt) >= c.ttl) {
+		return nil, false, found
 	}
-	return e.model, true
+	return e.model, true, true
 }
 
 // Store caches model for topology. A later Store for the same topology

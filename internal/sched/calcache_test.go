@@ -32,6 +32,26 @@ func TestCalCacheLookupStore(t *testing.T) {
 	}
 }
 
+// TestCalCachePeekDoesNotCount: Peek answers like Lookup for missing,
+// stale and usable entries but leaves every counter alone.
+func TestCalCachePeekDoesNotCount(t *testing.T) {
+	c := NewCalCache(CalCacheOptions{})
+	if _, ok := c.Peek("wc", 1, time.Minute); ok {
+		t.Fatal("Peek on empty cache hit")
+	}
+	m := testModel(t)
+	c.Store("wc", 1, time.Minute, m)
+	if _, ok := c.Peek("wc", 2, time.Minute); ok {
+		t.Fatal("Peek served a superseded plan version")
+	}
+	if got, ok := c.Peek("wc", 1, time.Minute); !ok || got != m {
+		t.Fatalf("Peek = %v, %v; want stored model", got, ok)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Stale != 0 {
+		t.Fatalf("Stats after Peeks = %+v; want no counted lookups", st)
+	}
+}
+
 // TestCalCacheKeyedValidation: an entry only serves the exact plan
 // version and provider window it was calibrated against.
 func TestCalCacheKeyedValidation(t *testing.T) {

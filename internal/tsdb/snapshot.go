@@ -43,23 +43,13 @@ func (db *DB) WriteSnapshot(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 
-	type entry struct {
-		metric string
-		key    string
-		data   *seriesData
+	names := make([]string, 0, len(db.metrics))
+	count := 0
+	for metric, md := range db.metrics {
+		names = append(names, metric)
+		count += len(md.all)
 	}
-	var entries []entry
-	for metric, bySeries := range db.metrics {
-		for key, sd := range bySeries {
-			entries = append(entries, entry{metric, key, sd})
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].metric != entries[j].metric {
-			return entries[i].metric < entries[j].metric
-		}
-		return entries[i].key < entries[j].key
-	})
+	sort.Strings(names)
 
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -67,17 +57,19 @@ func (db *DB) WriteSnapshot(w io.Writer) error {
 		Format:    snapshotFormat,
 		Version:   1,
 		Retention: int64(db.retention),
-		Series:    len(entries),
+		Series:    count,
 	}); err != nil {
 		return err
 	}
-	for _, e := range entries {
-		s := snapshotSeries{Metric: e.metric, Labels: e.data.labels, Points: make([]snapshotPoint, len(e.data.points))}
-		for i, p := range e.data.points {
-			s.Points[i] = snapshotPoint{T: p.t, V: p.v}
-		}
-		if err := enc.Encode(s); err != nil {
-			return err
+	for _, metric := range names {
+		for _, sd := range db.metrics[metric].all { // canonical key order
+			s := snapshotSeries{Metric: metric, Labels: sd.labels, Points: make([]snapshotPoint, len(sd.points))}
+			for i, p := range sd.points {
+				s.Points[i] = snapshotPoint{T: p.t, V: p.v}
+			}
+			if err := enc.Encode(s); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()

@@ -189,8 +189,8 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, bySeries := range db.metrics {
-			for _, sd := range bySeries {
+		for _, md := range db.metrics {
+			for _, sd := range md.byKey {
 				for i := 1; i < len(sd.points); i++ {
 					if sd.points[i].t < sd.points[i-1].t {
 						t.Fatalf("series %v not sorted at %d", sd.labels, i)

@@ -24,6 +24,28 @@ import (
 // ErrNoData is returned by queries that match no points.
 var ErrNoData = errors.New("tsdb: no data points match the query")
 
+// noDataError is the ErrNoData a selection returns when it matches no
+// points. Callers such as the metrics provider routinely ask for
+// metrics an entity does not have and discard the error, so the
+// message is formatted only when read. It renders the selector at
+// that point: callers must not mutate a selector whose error they
+// still hold.
+type noDataError struct {
+	metric     string
+	sel        Labels
+	start, end time.Time
+	ranged     bool // the metric exists; report the selector and range
+}
+
+func (e *noDataError) Error() string {
+	if !e.ranged {
+		return fmt.Sprintf("%v: metric %q", ErrNoData, e.metric)
+	}
+	return fmt.Sprintf("%v: metric %q selector %v in [%s, %s)", ErrNoData, e.metric, e.sel, e.start, e.end)
+}
+
+func (e *noDataError) Unwrap() error { return ErrNoData }
+
 // Labels is a set of key/value identifiers attached to a series.
 // Conventional keys used throughout Caladrius:
 //
@@ -110,8 +132,33 @@ type sample struct {
 }
 
 type seriesData struct {
+	key    string // canonical labels
 	labels Labels
 	points []sample // sorted by t ascending
+}
+
+// metricData is one metric's series. Series are only ever added
+// (DropMetric removes the whole metricData), so all never holds a stale
+// entry.
+type metricData struct {
+	byKey map[string]*seriesData // canonical key -> series
+	all   []*seriesData          // every series, sorted by key
+}
+
+// insertByKey adds sd to list, which is sorted by key and does not hold
+// sd's key yet.
+func insertByKey(list []*seriesData, sd *seriesData) []*seriesData {
+	i, _ := slices.BinarySearchFunc(list, sd.key, func(e *seriesData, k string) int { return strings.Compare(e.key, k) })
+	return slices.Insert(list, i, sd)
+}
+
+// seriesOf returns metric's series in key order, or none for a metric
+// never written. Caller holds db.mu.
+func (db *DB) seriesOf(metric string) []*seriesData {
+	if md := db.metrics[metric]; md != nil {
+		return md.all
+	}
+	return nil
 }
 
 // Bounds of the representable sample times.
@@ -143,8 +190,8 @@ func lowerBound(pts []sample, t int64) int {
 // DB is the in-memory time-series store.
 type DB struct {
 	mu        sync.RWMutex
-	metrics   map[string]map[string]*seriesData // metric -> canonical labels -> data
-	retention time.Duration                     // 0 = keep forever
+	metrics   map[string]*metricData
+	retention time.Duration // 0 = keep forever
 }
 
 // New creates an empty store. retention ≤ 0 keeps points forever;
@@ -152,7 +199,7 @@ type DB struct {
 // retention relative to the newest point in their series.
 func New(retention time.Duration) *DB {
 	return &DB{
-		metrics:   make(map[string]map[string]*seriesData),
+		metrics:   make(map[string]*metricData),
 		retention: retention,
 	}
 }
@@ -178,17 +225,19 @@ func (db *DB) Append(metric string, labels Labels, t time.Time, v float64) {
 }
 
 // seriesLocked returns (creating if needed) the series of metric with
-// the given pre-canonicalised label key. Caller holds db.mu.
+// the given pre-canonicalised label key. Creating one keeps the series
+// list sorted. Caller holds the write lock.
 func (db *DB) seriesLocked(metric, key string, labels Labels) *seriesData {
-	bySeries, ok := db.metrics[metric]
+	md, ok := db.metrics[metric]
 	if !ok {
-		bySeries = make(map[string]*seriesData)
-		db.metrics[metric] = bySeries
+		md = &metricData{byKey: make(map[string]*seriesData)}
+		db.metrics[metric] = md
 	}
-	sd, ok := bySeries[key]
+	sd, ok := md.byKey[key]
 	if !ok {
-		sd = &seriesData{labels: labels.Clone()}
-		bySeries[key] = sd
+		sd = &seriesData{key: key, labels: labels.Clone()}
+		md.byKey[key] = sd
+		md.all = insertByKey(md.all, sd)
 	}
 	return sd
 }
@@ -197,6 +246,14 @@ func (db *DB) seriesLocked(metric, key string, labels Labels) *seriesData {
 // holds db.mu.
 func (db *DB) appendLocked(sd *seriesData, t int64, v float64) {
 	n := len(sd.points)
+	if db.retention > 0 && n == cap(sd.points) {
+		// A retained series keeps a steady length, so grow it by a
+		// quarter rather than by append's up-to-doubling, which would
+		// leave up to half of every array dead until the next growth.
+		grown := make([]sample, n, n+n/4+8)
+		copy(grown, sd.points)
+		sd.points = grown
+	}
 	if n > 0 && t < sd.points[n-1].t {
 		// Out-of-order write: insert after any equal times (rare path).
 		idx := sort.Search(n, func(i int) bool { return sd.points[i].t > t })
@@ -213,8 +270,8 @@ func (db *DB) appendLocked(sd *seriesData, t int64, v float64) {
 			cutoff = math.MinInt64
 		}
 		// Reslice the expired prefix away rather than copying the live
-		// window down: append's next growth drops the dead prefix, so the
-		// backing array stays within about twice the live length.
+		// window down: the next growth drops the dead prefix, so the
+		// backing array stays within a quarter of the live length.
 		sd.points = sd.points[lowerBound(sd.points, cutoff):]
 	}
 }
@@ -308,46 +365,48 @@ func (db *DB) Metrics() []string {
 func (db *DB) SeriesCount(metric string) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.metrics[metric])
+	return len(db.seriesOf(metric))
 }
 
 // span is one matching series' in-range points, read in place from
 // storage under the read lock.
 type span struct {
-	key    string
 	labels Labels
 	pts    []sample
 }
 
 // rangeLocked returns, in canonical label order, the points in
 // [start, end) of every series of metric that matches sel and has any.
-// The point slices alias storage: they are valid only while the caller
-// holds db.mu, and must not be modified.
+// It walks the key-sorted series list, so the matches need no sort,
+// and allocates nothing when nothing matches but the error. The point
+// slices alias storage: they are valid only while the caller holds
+// db.mu, and must not be modified.
 func (db *DB) rangeLocked(metric string, sel Labels, start, end time.Time) ([]span, error) {
-	bySeries := db.metrics[metric]
-	if len(bySeries) == 0 {
-		return nil, fmt.Errorf("%w: metric %q", ErrNoData, metric)
+	md := db.metrics[metric]
+	if md == nil {
+		return nil, &noDataError{metric: metric}
 	}
-	spans := make([]span, 0, len(bySeries))
-	for k, sd := range bySeries {
-		if sd.labels.Matches(sel) {
-			spans = append(spans, span{key: k, labels: sd.labels, pts: sd.points})
-		}
-	}
-	slices.SortFunc(spans, func(a, b span) int { return strings.Compare(a.key, b.key) })
 	lo, hi := unixNano(start), unixNano(end)
-	kept := spans[:0]
-	for _, sp := range spans {
-		sp.pts = sp.pts[:lowerBound(sp.pts, hi)]
-		sp.pts = sp.pts[lowerBound(sp.pts, lo):]
-		if len(sp.pts) > 0 {
-			kept = append(kept, sp)
+	var spans []span
+	for _, sd := range md.all {
+		if !sd.labels.Matches(sel) {
+			continue
 		}
+		pts := sd.points[:lowerBound(sd.points, hi)]
+		pts = pts[lowerBound(pts, lo):]
+		if len(pts) == 0 {
+			continue
+		}
+		if spans == nil {
+			// Room for a component's instances, not the metric's series.
+			spans = make([]span, 0, 8)
+		}
+		spans = append(spans, span{labels: sd.labels, pts: pts})
 	}
-	if len(kept) == 0 {
-		return nil, fmt.Errorf("%w: metric %q selector %v in [%s, %s)", ErrNoData, metric, sel, start, end)
+	if len(spans) == 0 {
+		return nil, &noDataError{metric: metric, sel: sel, start: start, end: end, ranged: true}
 	}
-	return kept, nil
+	return spans, nil
 }
 
 // Query returns all series of the metric matching the selector,
@@ -590,13 +649,14 @@ func (db *DB) Downsample(metric string, sel Labels, start, end time.Time, step t
 }
 
 // Latest returns the most recent point across all series matching the
-// selector, with its time in UTC.
+// selector, with its time in UTC. Of series whose last points share a
+// time, the first in canonical label order wins.
 func (db *DB) Latest(metric string, sel Labels) (Point, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var best sample
 	found := false
-	for _, sd := range db.metrics[metric] {
+	for _, sd := range db.seriesOf(metric) {
 		if !sd.labels.Matches(sel) || len(sd.points) == 0 {
 			continue
 		}
@@ -618,7 +678,7 @@ func (db *DB) LabelValues(metric, key string) []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	set := map[string]struct{}{}
-	for _, sd := range db.metrics[metric] {
+	for _, sd := range db.seriesOf(metric) {
 		if v, ok := sd.labels[key]; ok {
 			set[v] = struct{}{}
 		}
@@ -647,8 +707,8 @@ func (db *DB) TotalPoints() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var n int
-	for _, bySeries := range db.metrics {
-		for _, sd := range bySeries {
+	for _, md := range db.metrics {
+		for _, sd := range md.all {
 			n += len(sd.points)
 		}
 	}

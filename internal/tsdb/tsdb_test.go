@@ -492,14 +492,15 @@ func TestHandlePanicsOnEmptyMetric(t *testing.T) {
 }
 
 // referenceDownsample is the copy-then-group Downsample the single-pass
-// implementation replaced: Query, per-series bucket maps, a merged map
+// implementation replaced: a copying query (over the reference linear
+// scan, not the sorted series list), per-series bucket maps, a merged map
 // and a sort. It defines the results Downsample must reproduce bit for
 // bit.
 func referenceDownsample(db *DB, metric string, sel Labels, start, end time.Time, step time.Duration, bucketAgg, mergeAgg Agg) (Series, error) {
 	if step <= 0 {
 		return Series{}, fmt.Errorf("tsdb: non-positive step %s", step)
 	}
-	series, err := db.Query(metric, sel, start, end)
+	series, err := referenceQuery(db, metric, sel, start, end)
 	if err != nil {
 		return Series{}, err
 	}
@@ -697,14 +698,15 @@ func TestIncrease(t *testing.T) {
 }
 
 // TestRetentionPruneBoundedCapacity: pruning reslices the expired
-// prefix away instead of copying the live window down, and append's
-// growth reclaims it, so capacity tracks the live length.
+// prefix away instead of copying the live window down, and the next
+// growth (by a quarter) reclaims it, so capacity tracks the live
+// length.
 func TestRetentionPruneBoundedCapacity(t *testing.T) {
 	db := New(100 * time.Minute)
 	h := db.Handle("m", nil)
 	for i := 0; i < 10_000; i++ {
 		h.Append(minuteAt(i), float64(i))
-		if n, c := len(h.sd.points), cap(h.sd.points); c > 2*n+64 {
+		if n, c := len(h.sd.points), cap(h.sd.points); c > n+n/4+8 {
 			t.Fatalf("append %d: cap %d for %d live points", i, c, n)
 		}
 	}

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Benchmark recipe: runs the hot-path micro-benchmarks (the TSDB read
-# path included) and the multi-rate sweep benchmarks, writes
-# BENCH_core.json with the
+# path and the cold-calibration path included) and the multi-rate
+# sweep benchmarks, writes BENCH_core.json with the
 # measured numbers next to the recorded pre-optimization (seed)
 # baseline, then drives the serving tier with caladriusbench's
 # standard mix and writes BENCH_api.json — including the scrape-path
@@ -40,9 +40,18 @@ SEED_SCRAPE_CONC_NS=16781639
 # benchtime 1s, median of 3, GOMAXPROCS=2, nproc=2, go1.24.0.
 BEFORE_DOWNSAMPLE_NS=2312231   BEFORE_DOWNSAMPLE_B=1405467   BEFORE_DOWNSAMPLE_ALLOCS=10241
 
+# Calibration-path baseline, measured on the commit before the TSDB
+# key-sorted series lists, the map-free provider windows and the
+# uncounted calibration-cache re-check (BenchmarkTSDBSelect added to
+# that tree unchanged). Same harness, benchtime 2s, median of 3 runs
+# alternated with the change's, GOMAXPROCS=2, nproc=2, go1.24.0.
+BEFORE_COLD_NS=649919        BEFORE_COLD_B=258353          BEFORE_COLD_ALLOCS=2266
+BEFORE_SELECT10_NS=4336      BEFORE_SELECT10_B=3920        BEFORE_SELECT10_ALLOCS=8
+BEFORE_SELECT1000_NS=122320  BEFORE_SELECT1000_B=52593     BEFORE_SELECT1000_ALLOCS=8
+
 echo "== micro benchmarks (${MICRO_TIME}) =="
 MICRO=$(go test -run '^$' \
-    -bench 'BenchmarkSimulatorMinute$|BenchmarkSimulatorMinuteWithInjector$|BenchmarkTSDBAppend$|BenchmarkTSDBAppendHandle$|BenchmarkTSDBDownsample$|BenchmarkLogRingAppend$|BenchmarkSLOEvaluateArmed$|BenchmarkUsageRecord$|BenchmarkMiddlewareRequest$|BenchmarkMiddlewareRequestAttributed$|BenchmarkPredictColdCache$|BenchmarkPredictWarmCache$|BenchmarkCoalescedPredict$' \
+    -bench 'BenchmarkSimulatorMinute$|BenchmarkSimulatorMinuteWithInjector$|BenchmarkTSDBAppend$|BenchmarkTSDBAppendHandle$|BenchmarkTSDBDownsample$|BenchmarkTSDBSelect$|BenchmarkLogRingAppend$|BenchmarkSLOEvaluateArmed$|BenchmarkUsageRecord$|BenchmarkMiddlewareRequest$|BenchmarkMiddlewareRequestAttributed$|BenchmarkPredictColdCache$|BenchmarkPredictWarmCache$|BenchmarkCoalescedPredict$' \
     -benchmem -benchtime "$MICRO_TIME" .)
 echo "$MICRO"
 
@@ -113,6 +122,14 @@ MW_ALLOCS=$(pick "$MICRO" BenchmarkMiddlewareRequest 7)
 MWATTR_NS=$(pick "$MICRO" BenchmarkMiddlewareRequestAttributed 3)
 MWATTR_ALLOCS=$(pick "$MICRO" BenchmarkMiddlewareRequestAttributed 7)
 COLD_NS=$(pick "$MICRO" BenchmarkPredictColdCache 3)
+COLD_B=$(pick "$MICRO" BenchmarkPredictColdCache 5)
+COLD_ALLOCS=$(pick "$MICRO" BenchmarkPredictColdCache 7)
+SELECT10_NS=$(pick "$MICRO" BenchmarkTSDBSelect/series=10 3)
+SELECT10_B=$(pick "$MICRO" BenchmarkTSDBSelect/series=10 5)
+SELECT10_ALLOCS=$(pick "$MICRO" BenchmarkTSDBSelect/series=10 7)
+SELECT1000_NS=$(pick "$MICRO" BenchmarkTSDBSelect/series=1000 3)
+SELECT1000_B=$(pick "$MICRO" BenchmarkTSDBSelect/series=1000 5)
+SELECT1000_ALLOCS=$(pick "$MICRO" BenchmarkTSDBSelect/series=1000 7)
 WARM_NS=$(pick "$MICRO" BenchmarkPredictWarmCache 3)
 WARM_ALLOCS=$(pick "$MICRO" BenchmarkPredictWarmCache 7)
 COALESCED_NS=$(pick "$MICRO" BenchmarkCoalescedPredict 3)
@@ -189,6 +206,25 @@ cat > "$OUT" <<EOF
     "speedup": $(ratio "$BEFORE_DOWNSAMPLE_NS" "$DOWNSAMPLE_NS"),
     "budget": "allocs/op depend on the number of matching series, not points (TestDownsampleAllocsIndependentOfPoints)",
     "note": "4 series x 1440 one-minute points rolled up at 1m; samples are stored as pointer-free int64-ns/float64 pairs and Downsample reduces each series' sorted points into one shared run buffer, then k-way merges the runs in canonical label order under the read lock"
+  },
+  "calibration": {
+    "predict_cold_cache": {
+      "before": {"ns_op": ${BEFORE_COLD_NS}, "b_op": ${BEFORE_COLD_B}, "allocs_op": ${BEFORE_COLD_ALLOCS}, "gomaxprocs": 2, "nproc": 2, "go": "go1.24.0"},
+      "after":  {"ns_op": ${COLD_NS}, "b_op": ${COLD_B}, "allocs_op": ${COLD_ALLOCS}, "gomaxprocs": ${GOMAXPROCS}, "nproc": ${NPROC}, "go": "$(go env GOVERSION)"},
+      "speedup": $(ratio "$BEFORE_COLD_NS" "$COLD_NS")
+    },
+    "tsdb_select_1_of_10": {
+      "before": {"ns_op": ${BEFORE_SELECT10_NS}, "b_op": ${BEFORE_SELECT10_B}, "allocs_op": ${BEFORE_SELECT10_ALLOCS}, "gomaxprocs": 2, "nproc": 2, "go": "go1.24.0"},
+      "after":  {"ns_op": ${SELECT10_NS}, "b_op": ${SELECT10_B}, "allocs_op": ${SELECT10_ALLOCS}, "gomaxprocs": ${GOMAXPROCS}, "nproc": ${NPROC}, "go": "$(go env GOVERSION)"},
+      "speedup": $(ratio "$BEFORE_SELECT10_NS" "$SELECT10_NS")
+    },
+    "tsdb_select_1_of_1000": {
+      "before": {"ns_op": ${BEFORE_SELECT1000_NS}, "b_op": ${BEFORE_SELECT1000_B}, "allocs_op": ${BEFORE_SELECT1000_ALLOCS}, "gomaxprocs": 2, "nproc": 2, "go": "go1.24.0"},
+      "after":  {"ns_op": ${SELECT1000_NS}, "b_op": ${SELECT1000_B}, "allocs_op": ${SELECT1000_ALLOCS}, "gomaxprocs": ${GOMAXPROCS}, "nproc": ${NPROC}, "go": "$(go env GOVERSION)"},
+      "speedup": $(ratio "$BEFORE_SELECT1000_NS" "$SELECT1000_NS")
+    },
+    "budget": "a 1-of-N selection allocates the same at N=10 and N=1000 (TestSelectAllocsIndependentOfSeriesCount)",
+    "note": "BenchmarkPredictColdCache recalibrates on every request through a tracker update, which evicts the graph cache too, so it measures the key-sorted TSDB selection and the map-free provider windows but not the graph reuse on forced calibrate. BenchmarkTSDBSelect downsamples 1 of N series of 60 one-minute points: the selection walks the metric's key-sorted series list and checks each series against the selector, with no per-query sort and no allocation for series that do not match"
   },
   "logring_append": {
     "now": {"ns_op": ${LOGRING_NS}, "b_op": ${LOGRING_B}, "allocs_op": ${LOGRING_ALLOCS}},
